@@ -1,15 +1,15 @@
 """Simulator wall-clock speed: the engine ladder on the Olden set.
 
-One bench per (Olden benchmark, engine) pair across all three engines
-(AST walker, closure compiler, per-function codegen).  Each compiles
-the benchmark once (optimized, 4 nodes) and measures pure *execution*
-wall-clock at the catalog's full problem size, so the pairs directly
-yield each engine's speedup over the reference tree walker.  The
-non-AST runs also assert bit-identical results against the AST run --
-a speedup that changes the answer is a bug, not a win.
+One bench per (Olden benchmark, engine) pair across both engines (AST
+walker, per-function codegen).  Each compiles the benchmark once
+(optimized, 4 nodes) and measures pure *execution* wall-clock at the
+catalog's full problem size, so the pairs directly yield codegen's
+speedup over the reference tree walker.  The codegen runs also assert
+bit-identical results against the AST run -- a speedup that changes
+the answer is a bug, not a win.
 
 ``--engine NAME`` (repeatable, from benchmarks/conftest.py) restricts
-the axis, e.g. ``--engine codegen`` for the CI codegen-only step.
+the axis, e.g. ``--engine codegen``.
 ``--opt PRESET`` compiles the programs under that OptConfig preset
 (e.g. ``--opt probabilistic`` for the CI opt leg); the cross-engine
 bit-identity asserts hold per preset.
@@ -56,7 +56,7 @@ def test_engine_speed(benchmark, engine_axis, opt_axis, name, engine):
         pytest.skip(f"--engine restricted to {engine_axis}")
     spec = next(s for s in catalog() if s.name == name)
     # Warm up once outside the timer: compiles the program and, for the
-    # closure engine, builds the per-function closures.
+    # codegen engine, generates and compiles the per-function code.
     warm = _run(spec, engine, opt_axis)
     result = benchmark.pedantic(lambda: _run(spec, engine, opt_axis),
                                 rounds=3, iterations=1,

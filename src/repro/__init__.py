@@ -77,7 +77,7 @@ from repro.harness.pipeline import (
 from repro.obs.trace import Tracer
 from repro.service.cache import ArtifactCache
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ArtifactCache",

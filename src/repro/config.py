@@ -40,7 +40,7 @@ from repro.errors import ReproError, UsageError
 
 #: Execution engines (mirrors ``repro.earth.interpreter.ENGINES``;
 #: duplicated here so importing a config does not pull the interpreter).
-ENGINES = ("closure", "ast", "codegen")
+ENGINES = ("ast", "codegen")
 
 #: Named machine-parameter presets a serialized config may request
 #: (jobs travel as JSON, so they name a preset instead of carrying a
@@ -71,7 +71,7 @@ class RunConfig:
     shards: int = 1
     entry: str = "main"
     args: Tuple[Union[int, float], ...] = ()
-    engine: str = "closure"
+    engine: str = "codegen"
     params: str = "default"
     #: Per-node remote-data cache geometry (``repro.earth.rcache``);
     #: capacity 0 disables the cache entirely.
@@ -223,7 +223,7 @@ class RunConfig:
                     else opts.shards),
             entry=getattr(opts, "entry", None) or "main",
             args=tuple(args if args is not None else ()),
-            engine=getattr(opts, "engine", None) or "closure",
+            engine=getattr(opts, "engine", None) or "codegen",
             params=getattr(opts, "params", None) or "default",
             rcache_capacity=getattr(opts, "rcache_capacity", None) or 0,
             rcache_line_words=getattr(opts, "rcache_line", None) or 16,

@@ -1,75 +1,77 @@
 """Textual per-function Python code generation engine ("codegen").
 
-Tier 3 of the engine ladder.  Where the closure engine
-(:mod:`repro.earth.compile`) lowers each SIMPLE function to a tree of
-bound Python closures, this engine goes one step further and *emits
-Python source* for the whole function, compiles it with
+The fast engine.  The AST-walking
+:class:`~repro.earth.interpreter.Interpreter` repeats per-statement
+analysis on every dynamic execution: ``isinstance`` dispatch over node
+classes, use-set construction, frame dict lookups, field-path
+resolution, operator selection.  This engine pays all of that once:
+it *emits Python source* for each SIMPLE function, compiles it with
 :func:`compile`, and ``exec``\\ s it into a per-function namespace:
 
 * frame variables become Python locals (``x`` -> ``v_x``), so variable
   access is a fast-local load instead of a dict operation;
 * maximal runs of purely-local statements become straight-line code
   under a single batched budget update and one ``("busy", total)``
-  yield -- no per-statement closure calls at all;
+  yield;
 * ``yield`` survives only at genuine split-phase points: remote loads
   and stores, sync-slot waits, ``malloc``, ``blkmov``, shared-variable
   operations, placed invocations (spawn + result wait), calls
   (``yield from`` into the callee), and par/forall spawn + join;
 * field offsets, operand readers, binop/coercion selection, global
-  addresses and constant busy costs are resolved at codegen time
-  exactly as the closure compiler resolves them, and coercions are
-  elided where the operand's type already guarantees the
-  representation (e.g. ``int(x)`` on a value that is provably an
+  addresses and constant busy costs are resolved at codegen time, and
+  coercions are elided where the operand's type already guarantees
+  the representation (e.g. ``int(x)`` on a value that is provably an
   ``int``).
 
-The engine is *bit-identical* to the closure and AST engines: values,
+The engine is *bit-identical* to the AST engine: values,
 ``MachineStats``, ``time_ns`` and traces all match, including under
-fault plans and with the remote-data cache enabled.  The machine
-action vocabulary and sync-wait ordering are replicated exactly; the
-only accepted divergence is the one the closure engine already has
-(the statement budget is charged per fused block).
+fault plans and with the remote-data cache enabled.  Every machine
+parameter is a multiple of 0.5 ns, so float summation is exact and
+the coalesced ``busy`` amounts cannot change ``time_ns``.  Sync-wait
+ordering is replicated exactly: the generator builds the same name
+sets the AST engine's ``_sync_uses`` builds at run time, in sorted
+order.
+
+Known (accepted) divergence: the statement budget is charged per fused
+block, so a run that exhausts ``max_stmts`` may abort a few statements
+earlier than the AST engine would.  Both engines raise the same
+``InterpreterError`` for any program whose total statement count
+reaches the budget; completing runs are unaffected.
 
 Anything the generator cannot prove it can emit faithfully -- a
 dynamically shadowed global, a name that is not a Python identifier,
 an unknown variable or callee, a non-finite float constant -- makes
-the *whole function* fall back to the closure engine (which in turn
-may delegate single statements to the AST engine).  Fallback is
-per-function, never whole-program; generated and closure-compiled
-functions call each other freely through the shared engine cells.
+the *whole function* fall back to the AST walker
+(``Interpreter._exec_function``), which is authoritative for error
+behaviour.  Fallback is per-function, never whole-program; generated
+and walked functions call each other freely through the engine cells.
 
 Debugging: the emitted source of every generated function is kept in
 ``CodegenEngine.sources`` and can be printed with the CLI's
 ``--dump-codegen`` flag.
 """
-
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.earth.compile import (
-    ClosureEngine,
-    _FunctionCompiler,
-    _Uncompilable,
-    _char_coerce,
-    _coerce_fn,
-    _zero_of,
-    _op_div,
-    _op_mod,
-)
 from repro.earth.interpreter import (
     _MATH_BUILTINS,
     _MATH_COST_NS,
+    Interpreter,
     SharedCell,
+    _c_div,
     _c_int,
+    _c_mod,
     _normalize_word,
 )
 from repro.earth.machine import Fiber, JoinCounter, Slot
 from repro.earth.memory import FILLER, NODE_SPAN
 from repro.errors import InterpreterError, MemoryFault
-from repro.frontend.types import PointerType, ScalarType, StructType
+from repro.frontend.types import PointerType, ScalarType, StructType, Type
 from repro.simple import nodes as s
+from repro.simple.traversal import basic_uses
 
 #: Compiled code objects keyed by emitted source text.  The source
 #: bakes in everything static about a run (statement labels, busy
@@ -83,9 +85,62 @@ _CODE_CACHE_LIMIT = 512
 
 
 # ---------------------------------------------------------------------------
+# Operator and coercion semantics shared by generated code and the
+# code generator (each mirrors one case of ``Interpreter._apply_binop``
+# or ``Interpreter._coerce``).
+# ---------------------------------------------------------------------------
+
+
+def _op_div(left, right):
+    if isinstance(left, float) or isinstance(right, float):
+        if right == 0:
+            raise InterpreterError("division by zero")
+        return left / right
+    if right == 0:
+        raise InterpreterError("division by zero")
+    return _c_div(left, right)
+
+
+def _op_mod(left, right):
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    return _c_mod(int(left), int(right))
+
+
+def _char_coerce(value):
+    return _c_int(value) & 0xFF
+
+
+_KIND_COERCE: Dict[str, Callable] = {
+    "int": _c_int,
+    "char": _char_coerce,
+    "float": float,
+    "double": float,
+}
+
+
+def _coerce_fn(type: Optional[Type]) -> Optional[Callable]:
+    """The coercion callable for a declared type (``None`` = identity);
+    mirrors ``Interpreter._coerce``."""
+    if isinstance(type, ScalarType):
+        return _KIND_COERCE.get(type.kind)
+    if isinstance(type, PointerType):
+        return int
+    return None
+
+
+_zero_of = Interpreter._zero_of
+
+
+class _Uncompilable(Exception):
+    """Internal: this function cannot be generated faithfully; it runs
+    on the AST walker instead."""
+
+
+# ---------------------------------------------------------------------------
 # Runtime helpers referenced by emitted code (installed in every
 # generated function's namespace).  Each mirrors one runtime check or
-# action-payload construction of the closure engine, with identical
+# action-payload construction of the AST engine, with identical
 # error messages.
 # ---------------------------------------------------------------------------
 
@@ -125,7 +180,7 @@ def _shchk(cell, name):
 
 
 def _faddr(base, offset):
-    """``&(p->field)`` with the nil check of the closure engine."""
+    """``&(p->field)`` with the nil check of the AST engine."""
     if base == 0:
         raise MemoryFault("&(nil->field)")
     return base + offset
@@ -201,7 +256,7 @@ def _make_shared_factories():
 def _make_move_factory(memory, stats, strict, words, src_is_ptr,
                        dst_is_ptr, lazy):
     """Per-blkmov-statement ``_mk_mvN(src, dst, node, slot)`` factory;
-    the body is the closure engine's blkmov lowering verbatim: the
+    the body is the AST engine's ``_exec_blkmov`` logic: the
     endpoint/remote-node classification, the push-side issue-time
     snapshot, the pull-side ``slot.post`` destination write, and the
     lazy whole-buffer tail snapshot.  Returns ``(remote_node, do_op,
@@ -324,10 +379,9 @@ _BITOPS = ("&", "|", "^", "<<", ">>")
 
 
 class GeneratedFunction:
-    """One SIMPLE function lowered to emitted Python source.  Duck-
-    compatible with :class:`~repro.earth.compile.CompiledFunction`:
-    callers only need ``.invoke`` (and the engine cells hold either
-    kind interchangeably)."""
+    """One SIMPLE function lowered to emitted Python source.  Callers
+    only need ``.invoke``; the engine cells hold this or a
+    :class:`WalkedFunction` interchangeably."""
 
     __slots__ = ("name", "function", "invoke", "source")
 
@@ -338,25 +392,59 @@ class GeneratedFunction:
         self.source = source
 
 
-class CodegenEngine(ClosureEngine):
-    """Tier-3 engine: per-function textual codegen with per-function
-    fallback to the closure tier.  Shares the cell/compiled machinery
-    with :class:`ClosureEngine`, so generated and closure-compiled
-    functions interoperate transparently."""
+class WalkedFunction:
+    """A function the generator could not emit, run by the AST walker
+    behind the same ``invoke`` protocol as :class:`GeneratedFunction`."""
 
-    __slots__ = ("sources", "fallbacks")
+    __slots__ = ("function", "interp")
+
+    def __init__(self, function: s.SimpleFunction, interp):
+        self.function = function
+        self.interp = interp
+
+    def invoke(self, args: list, node: int, result_slot=None):
+        """Generator running one activation; fulfils ``result_slot``,
+        when given, with the return value before finishing (placed
+        invocations run it as the fiber's outermost generator)."""
+        value = yield from self.interp._exec_function(self.function,
+                                                      args, node)
+        if result_slot is not None:
+            yield ("fulfill", result_slot, value)
+        return value
+
+
+class CodegenEngine:
+    """Generates the functions of one ``(program, machine)`` pair
+    lazily and caches the results, with per-function fallback to the
+    AST walker.  Owned by one :class:`Interpreter`."""
+
+    __slots__ = ("interp", "program", "machine", "_cells", "sources",
+                 "fallbacks")
 
     def __init__(self, interp):
-        super().__init__(interp)
+        self.interp = interp
+        self.program = interp.program
+        self.machine = interp.machine
+        # One one-element cell per function, filled on first
+        # generation; call sites bind the callee's cell so mutually
+        # recursive functions can reference each other before they are
+        # generated.
+        self._cells: Dict[str, list] = {}
         # Emitted source per generated function (for --dump-codegen
         # and the golden-snapshot test).
         self.sources: Dict[str, str] = {}
-        # Functions that fell back to the closure tier.
+        # Functions that fell back to the AST walker.
         self.fallbacks: Set[str] = set()
 
+    def cell(self, name: str) -> list:
+        cell = self._cells.get(name)
+        if cell is None:
+            cell = self._cells[name] = [None]
+        return cell
+
     def function(self, name: str):
-        compiled = self.compiled.get(name)
-        if compiled is None:
+        cell = self.cell(name)
+        if cell[0] is None:
             func = self.program.functions.get(name)
             if func is None:
                 raise InterpreterError(
@@ -364,17 +452,14 @@ class CodegenEngine(ClosureEngine):
             try:
                 generated = _CodeGenerator(self, func).generate()
             except Exception:
-                # Whole-function fallback: the closure tier (which may
-                # itself delegate single statements to the AST engine)
-                # is authoritative for anything codegen cannot prove.
+                # Whole-function fallback: the AST walker is
+                # authoritative for anything codegen cannot prove.
                 self.fallbacks.add(name)
-                compiled = _FunctionCompiler(self, func).compile()
+                cell[0] = WalkedFunction(func, self.interp)
             else:
                 self.sources[name] = generated.source
-                compiled = generated
-            self.compiled[name] = compiled
-            self.cell(name)[0] = compiled
-        return compiled
+                cell[0] = generated
+        return cell[0]
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +482,27 @@ class _EmitCtx:
         self.err = err        # par/forall: error message
 
 
-class _CodeGenerator(_FunctionCompiler):
+class _CodeGenerator:
     """Emits one Python generator function (``invoke``) per SIMPLE
-    function.  Inherits the closure compiler's static analyses
-    (slot-capable names, sync-entry construction, variable lookup) so
-    wait ordering is identical by construction.
-
-    Statement emitters are named ``_gen_*`` (not ``_compile_*``) so
-    test monkeypatching of either tier's lowering stays independent:
-    patching ``_FunctionCompiler._compile_*`` exercises
-    closure->AST delegation, patching ``_CodeGenerator._gen_*``
-    exercises codegen->closure fallback.
-    """
+    function.  Sync entries are built exactly as the AST engine's
+    ``_sync_uses`` builds them, so wait ordering is identical by
+    construction.  Statement emitters are named ``_gen_*``; tests patch
+    them to force the AST fallback."""
 
     def __init__(self, engine: CodegenEngine, func: s.SimpleFunction):
-        super().__init__(engine, func)
+        self.engine = engine
+        self.interp = engine.interp
+        self.program = engine.program
+        self.machine = engine.machine
+        self.memory = engine.machine.memory
+        self.stats = engine.machine.stats
+        self.params = engine.machine.params
+        self.func = func
+        self.local_ns = self.params.local_stmt_ns
+        self._budget_msg = (
+            f"statement budget exhausted ({self.interp.max_stmts}); "
+            f"probable infinite loop")
+        self.slotcap = self._slot_capable_names(func)
         self.lines: List[str] = []
         self.indent = 0
         self._tmp = 0
@@ -422,7 +513,64 @@ class _CodeGenerator(_FunctionCompiler):
         # names are parameters there).
         self._assigned: List[Set[str]] = [set()]
         self.ns: Dict[str, object] = {}
-        self._ns_ready = False
+
+    @staticmethod
+    def _slot_capable_names(func: s.SimpleFunction) -> set:
+        """Names that can ever hold a pending Slot in a frame of this
+        function: split-phase remote reads into a plain variable, and
+        lazily-filled whole-buffer blkmov destinations."""
+        names = set()
+        for stmt in func.body.walk():
+            if isinstance(stmt, s.AssignStmt) and stmt.split_phase \
+                    and isinstance(stmt.lhs, s.VarLV) \
+                    and isinstance(stmt.rhs, (s.FieldReadRhs,
+                                              s.DerefReadRhs,
+                                              s.IndexReadRhs)) \
+                    and stmt.rhs.remote:
+                names.add(stmt.lhs.name)
+            elif isinstance(stmt, s.BlkmovStmt) and stmt.split_phase \
+                    and stmt.dst[0] == "local" and stmt.dst[2] == 0:
+                names.add(stmt.dst[1])
+        return names
+
+    # -- sync entries and lookups -----------------------------------------
+
+    def _sync_entries_for_basic(self, stmt: s.BasicStmt):
+        # Build the SAME names, via the same mutations, as the AST
+        # engine's ``_sync_uses``, then sort: ``basic_uses`` returns a
+        # hash-ordered set, and wait order must not depend on the
+        # process's hash seed (it is observable through simulated time
+        # whenever two slots are pending at once).
+        names = basic_uses(stmt)
+        if isinstance(stmt, s.AssignStmt) and \
+                isinstance(stmt.lhs, s.StructFieldWriteLV):
+            names = set(names)
+            names.add(stmt.lhs.struct_var)
+        if isinstance(stmt, s.BlkmovStmt) and stmt.dst[0] == "local":
+            names = set(names)
+            names.add(stmt.dst[1])
+        return self._sync_entries(sorted(names))
+
+    def _sync_entries(self, names):
+        """Filter to slot-capable names, preserving iteration order;
+        attach the coercion the AST engine would apply on delivery."""
+        entries = []
+        variables = self.func.variables
+        for name in names:
+            if name not in self.slotcap:
+                continue
+            var = variables.get(name)
+            coerce = _coerce_fn(var.type) if var is not None else None
+            entries.append((name, coerce))
+        return tuple(entries)
+
+    def _lookup_type(self, name: str) -> Type:
+        var = self.func.variables.get(name)
+        if var is None:
+            var = self.program.globals.get(name)
+        if var is None:
+            raise _Uncompilable(name)
+        return var.type
 
     # -- small emission helpers --------------------------------------------
 
@@ -509,9 +657,10 @@ class _CodeGenerator(_FunctionCompiler):
 
     def generate(self) -> GeneratedFunction:
         func = self.func
-        if self.shadowed:
-            # Dynamically shadowed globals need frame-first checks that
-            # Python locals cannot express; let the closure tier do it.
+        if not self.slotcap <= set(func.variables):
+            # A slot-capable name the function does not declare shadows
+            # a global only transiently; that needs frame-first checks
+            # Python locals cannot express, so the AST walker runs it.
             raise _Uncompilable("shadowed globals")
         for name in func.variables:
             if not name.isidentifier():
@@ -837,7 +986,7 @@ class _CodeGenerator(_FunctionCompiler):
 
     def _x_cond(self, cond: s.CondExpr) -> str:
         """A truthiness expression for an if/while/do condition (the
-        closure engine's ``bool(...)`` is elided -- only truthiness is
+        AST engine's ``bool(...)`` is elided -- only truthiness is
         consumed)."""
         left, lk = self._x_operand(cond.left)
         if cond.op is None:
@@ -1028,8 +1177,8 @@ class _CodeGenerator(_FunctionCompiler):
                         self._sync_entries_for_basic(stmt))
                     self.w(f'yield ("busy", {local_ns!r})')
                     tv, _ = self._emit_local_read_value(rhs)
-                    # NB the closure engine passes bool(value_type)
-                    # (always truthy) as the split flag here;
+                    # NB the AST engine passes value_type (always
+                    # truthy) as the split flag here;
                     # replicated for exactness.
                     self._emit_store_value(lhs, tv, None, True, ctx)
                 return ("gen", emit_local_remote)
@@ -1401,7 +1550,7 @@ class _CodeGenerator(_FunctionCompiler):
         """In a forall iteration body, a lowered ReturnStmt sets the
         signal flag and ``break``s out of its nearest loop; every
         enclosing emitted loop re-breaks until the iteration wrapper
-        is reached (mirroring the closure engine's signal
+        is reached (mirroring the AST engine's signal
         propagation)."""
         if ctx.mode == "forall" and contains_return:
             self.w(f"if {ctx.sig}:")
@@ -1481,7 +1630,7 @@ class _CodeGenerator(_FunctionCompiler):
                f"branch is not supported")
         # Branches share the parent's frame (Python locals, via
         # nonlocal) and the parent's outstanding list, exactly like
-        # the closure engine's shared-activation branches.
+        # the AST engine's shared-activation branches.
         bctx = _EmitCtx("par", ctx.out, err=err)
         for bi, branch in enumerate(stmt.branches):
             bname = f"_pb{n}_{bi}"
@@ -1567,7 +1716,7 @@ class _CodeGenerator(_FunctionCompiler):
         self.indent -= 1
         # A return lowered inside init/step of an enclosing forall
         # body breaks this scan loop; re-break BEFORE the join, like
-        # the closure engine returning the signal past it.
+        # the AST engine returning the signal past it.
         self._maybe_cascade(
             self._has_return(stmt.init) or self._has_return(stmt.step),
             ctx)

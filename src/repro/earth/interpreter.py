@@ -120,33 +120,31 @@ class RunResult:
                 f"time={self.time_ns / 1e6:.3f}ms, {self.stats!r})")
 
 
-#: Engines: ``"closure"`` precompiles each function to bound closures
-#: (:mod:`repro.earth.compile`); ``"codegen"`` emits specialized
-#: Python source per function and falls back per-function to the
-#: closure tier (:mod:`repro.earth.codegen`); ``"ast"`` walks the
-#: SIMPLE tree (the reference implementation below).  All drive the
-#: same machine and must produce identical results -- the
-#: differential suite (tests/earth/test_engine_equivalence.py) pins
-#: this.
-ENGINES = ("closure", "ast", "codegen")
+#: Engines: ``"codegen"`` emits specialized Python source per function
+#: and falls back per-function to the AST walker
+#: (:mod:`repro.earth.codegen`); ``"ast"`` walks the SIMPLE tree (the
+#: reference implementation below).  Both drive the same machine and
+#: must produce identical results -- the differential suite
+#: (tests/earth/test_engine_equivalence.py) pins this.
+ENGINES = ("ast", "codegen")
 
 
 class Interpreter:
     """Executes one program on one machine.
 
     ``engine`` selects how SIMPLE statements are executed:
-    ``"closure"`` (default) compiles each function once into pre-bound
-    Python closures and runs those; ``"ast"`` interprets the tree
+    ``"codegen"`` (default) generates and compiles Python source for
+    each function once and runs that; ``"ast"`` interprets the tree
     directly.  Identical simulated behaviour, very different host
     speed.
     """
 
     __slots__ = ("program", "machine", "max_stmts", "engine",
                  "_stmts_left", "_globals_ready", "_finish_time",
-                 "_shared_globals", "_closure_engine")
+                 "_shared_globals", "_codegen")
 
     def __init__(self, program: s.SimpleProgram, machine: Machine,
-                 max_stmts: int = 200_000_000, engine: str = "closure"):
+                 max_stmts: int = 200_000_000, engine: str = "codegen"):
         if engine not in ENGINES:
             raise InterpreterError(
                 f"unknown engine {engine!r} (known: {', '.join(ENGINES)})")
@@ -158,7 +156,7 @@ class Interpreter:
         self._globals_ready = False
         self._finish_time = 0.0
         self._shared_globals: Dict[str, SharedCell] = {}
-        self._closure_engine = None
+        self._codegen = None
 
     # ======================================================================
     # Entry point
@@ -183,7 +181,7 @@ class Interpreter:
         func = self.program.functions[entry]
         result_slot = Slot(f"result:{entry}")
 
-        if self.engine in ("closure", "codegen"):
+        if self.engine == "codegen":
             compiled = self._engine_impl().function(entry)
 
             def root():
@@ -211,14 +209,10 @@ class Interpreter:
         return RunResult(result_slot.value, self._finish_time, self.machine)
 
     def _engine_impl(self):
-        if self._closure_engine is None:
-            if self.engine == "codegen":
-                from repro.earth.codegen import CodegenEngine
-                self._closure_engine = CodegenEngine(self)
-            else:
-                from repro.earth.compile import ClosureEngine
-                self._closure_engine = ClosureEngine(self)
-        return self._closure_engine
+        if self._codegen is None:
+            from repro.earth.codegen import CodegenEngine
+            self._codegen = CodegenEngine(self)
+        return self._codegen
 
     def spawn_remote(self, fname: str, args: List[Value], node: int,
                      result_slot, fiber_id: int,
@@ -227,7 +221,7 @@ class Interpreter:
         description (the receiving half of a cross-shard spawn).
         ``result_slot`` is usually a proxy whose real slot lives on the
         spawning shard."""
-        if self.engine in ("closure", "codegen"):
+        if self.engine == "codegen":
             compiled = self._engine_impl().function(fname)
 
             def remote_body():

@@ -28,18 +28,16 @@ are ordinary ``int`` declarations the checker then sees.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import numbering
 from repro.errors import TransformError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.types import INT
 
-_flag_counter = itertools.count(1)
-
 
 def _fresh_flag(prefix: str) -> str:
-    return f"__{prefix}_{next(_flag_counter)}"
+    return f"__{prefix}_{next(numbering.current().flags)}"
 
 
 def _set_flag(name: str, value: int) -> ast.Stmt:

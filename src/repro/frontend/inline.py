@@ -22,12 +22,10 @@ it and the call becomes a reference to a fresh result variable.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro import numbering
 from repro.frontend import ast_nodes as ast
-
-_inline_counter = itertools.count(1)
 
 #: Statements per function body above which we refuse to inline.
 DEFAULT_MAX_STMTS = 30
@@ -319,7 +317,7 @@ class Inliner:
     def _inline_call(self, call: ast.Call, target: ast.FunctionDecl,
                      prelude: List[ast.Stmt]) -> ast.Expr:
         self.inlined_calls += 1
-        serial = next(_inline_counter)
+        serial = next(numbering.current().inlines)
         mapping: Dict[str, str] = {}
         for node in ast.walk(target.body):
             if isinstance(node, ast.VarDecl):

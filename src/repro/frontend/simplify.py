@@ -328,17 +328,21 @@ class Simplifier:
 
     # -- assignments -----------------------------------------------------------------
 
+    @staticmethod
+    def _plain(expr: ast.Assign) -> ast.Assign:
+        """``a op= b`` as ``a = a op b`` (the lhs is re-resolved; lvalue
+        evaluation in the dialect has no side effects so
+        single-evaluation semantics are preserved)."""
+        if expr.op is None:
+            return expr
+        desugared = ast.Assign(
+            expr.lhs, ast.BinOp(expr.op, expr.lhs, expr.rhs, expr.loc),
+            None, expr.loc)
+        desugared.lhs.type = expr.lhs.type
+        return desugared
+
     def _lower_assignment(self, expr: ast.Assign) -> None:
-        if expr.op is not None:
-            # Compound assignment: a op= b  ==>  a = a op b (the lhs is
-            # re-resolved; lvalue evaluation in the dialect has no side
-            # effects so single-evaluation semantics are preserved).
-            desugared = ast.Assign(
-                expr.lhs, ast.BinOp(expr.op, expr.lhs, expr.rhs, expr.loc),
-                None, expr.loc)
-            desugared.lhs.type = expr.lhs.type
-            self._lower_assignment(desugared)
-            return
+        expr = self._plain(expr)
         lhs_type = expr.lhs.type
         assert lhs_type is not None
         if lhs_type.is_struct:
@@ -351,6 +355,27 @@ class Simplifier:
         operand = self._lower_value(expr.rhs)
         self._emit(s.AssignStmt(self._access_to_lvalue(access),
                                 s.OperandRhs(operand)))
+
+    def _lower_assign_value(self, expr: ast.Assign) -> s.Operand:
+        """An assignment used as a value (``a = b = 1``): perform it and
+        yield the stored value, converted to the target's type."""
+        expr = self._plain(expr)
+        lhs_type = expr.lhs.type
+        assert lhs_type is not None
+        if lhs_type.is_struct:
+            raise SimplifyError("struct assignment used as a value is "
+                                "not supported")
+        access = self._resolve_access(expr.lhs)
+        if access[0] == "var":
+            self._lower_assign_to_var(access[1], expr.rhs)
+            return s.VarUse(access[1])
+        # Store through a temp of the target's type, so the value the
+        # expression yields needs no second (possibly remote) read.
+        temp = self._temp(lhs_type)
+        self._lower_assign_to_var(temp, expr.rhs)
+        self._emit(s.AssignStmt(self._access_to_lvalue(access),
+                                s.OperandRhs(s.VarUse(temp))))
+        return s.VarUse(temp)
 
     def _access_to_lvalue(self, access) -> s.LValue:
         kind = access[0]
@@ -541,6 +566,11 @@ class Simplifier:
             return self._lower_ternary(expr)
         if isinstance(expr, ast.BinOp) and expr.op in ("&&", "||"):
             return self._lower_short_circuit(expr)
+        if isinstance(expr, ast.Assign):
+            return self._lower_assign_value(expr)
+        if isinstance(expr, (ast.IncDec, ast.StringLit)):
+            raise SimplifyError(
+                f"{type(expr).__name__} used as a value is not supported")
         rhs = self._lower_rhs(expr)
         if isinstance(rhs, s.OperandRhs):
             return rhs.operand

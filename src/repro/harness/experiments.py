@@ -392,7 +392,7 @@ def measure_fig10(num_nodes: int = 16,
 def sweep_jobs(processor_counts: Sequence[int],
                benchmarks: Optional[Sequence[str]] = None,
                small: bool = False, kind: str = "three-way",
-               engine: str = "closure",
+               engine: str = "codegen",
                faults: Optional[Dict[str, object]] = None,
                rcache_capacity: int = 0,
                rcache_line_words: int = 16,

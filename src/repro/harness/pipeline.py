@@ -42,6 +42,7 @@ from repro.frontend.inline import inline_functions
 from repro.frontend.parser import parse_program
 from repro.frontend.simplify import simplify_program
 from repro.frontend.typecheck import check_program
+from repro.numbering import numbering_scope
 from repro.obs.profile import PipelineProfile
 from repro.obs.trace import Tracer
 from repro.simple import nodes as s
@@ -53,7 +54,7 @@ from repro.simple.validate import validate_program
 #: whenever a change makes ``compile_earthc`` or the simulator produce
 #: different output for the same (source, options) -- stale cached
 #: artifacts then miss instead of serving wrong payloads.
-PIPELINE_VERSION = "2026.08-pr10"
+PIPELINE_VERSION = "2026.10-codegen-default"
 
 
 class CompiledProgram:
@@ -125,37 +126,40 @@ def compile_earthc(
     effective_opt = opt if opt is not None else \
         (config.opt if config is not None else None)
     profile = PipelineProfile()
-    with profile.phase("parse") as rec:
-        program = parse_program(source, filename)
-    rec.counters["functions"] = len(program.functions)
-    with profile.phase("goto-elim"):
-        eliminate_gotos(program)
-    inlined = 0
-    if inline:
-        with profile.phase("inline") as rec:
-            only = inline if isinstance(inline, set) else None
-            inlined = inline_functions(program, only=only)
-        rec.counters["inlined_calls"] = inlined
-    with profile.phase("typecheck"):
-        symbols = check_program(program)
-    if reorder_fields:
-        with profile.phase("reorder-fields"):
-            from repro.comm.reorder import reorder_struct_fields
-            reorder_struct_fields(program, effective_opt)
-    with profile.phase("simplify") as rec:
-        simple = simplify_program(program, symbols)
-    rec.counters["basic_stmts"] = _basic_stmt_count(simple)
-    with profile.phase("validate"):
-        validate_program(simple)
-    report = None
-    if optimize:
-        if config is None and opt is not None:
-            config = CommConfig(opt=opt)
-        with profile.phase("optimize") as rec:
-            optimizer = CommunicationOptimizer(simple, config, cost_model)
-            report = optimizer.run()
+    # Labels, inlined-local serials and goto flags count from 1 for
+    # every compile, so the same source always yields the same names.
+    with numbering_scope():
+        with profile.phase("parse") as rec:
+            program = parse_program(source, filename)
+        rec.counters["functions"] = len(program.functions)
+        with profile.phase("goto-elim"):
+            eliminate_gotos(program)
+        inlined = 0
+        if inline:
+            with profile.phase("inline") as rec:
+                only = inline if isinstance(inline, set) else None
+                inlined = inline_functions(program, only=only)
+            rec.counters["inlined_calls"] = inlined
+        with profile.phase("typecheck"):
+            symbols = check_program(program)
+        if reorder_fields:
+            with profile.phase("reorder-fields"):
+                from repro.comm.reorder import reorder_struct_fields
+                reorder_struct_fields(program, effective_opt)
+        with profile.phase("simplify") as rec:
+            simple = simplify_program(program, symbols)
         rec.counters["basic_stmts"] = _basic_stmt_count(simple)
-    return CompiledProgram(simple, optimize, report, inlined, profile)
+        with profile.phase("validate"):
+            validate_program(simple)
+        report = None
+        if optimize:
+            if config is None and opt is not None:
+                config = CommConfig(opt=opt)
+            with profile.phase("optimize") as rec:
+                optimizer = CommunicationOptimizer(simple, config, cost_model)
+                report = optimizer.run()
+            rec.counters["basic_stmts"] = _basic_stmt_count(simple)
+        return CompiledProgram(simple, optimize, report, inlined, profile)
 
 
 def _comm_config_with_opt(config: CommConfig,

@@ -88,7 +88,7 @@ class JobSpec:
         nodes: int = 4,
         entry: str = "main",
         args: Optional[Sequence[Union[int, float]]] = None,
-        engine: str = "closure",
+        engine: str = "codegen",
         params: str = "default",
         max_stmts: Optional[int] = None,
         strict_nil_reads: bool = False,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro import numbering
 from repro.frontend.types import FieldPath, StructType, Type
 
 # ---------------------------------------------------------------------------
@@ -456,12 +457,10 @@ class CondExpr:
 # Statements
 # ---------------------------------------------------------------------------
 
-_label_counter = itertools.count(1)
-
-
 def fresh_label() -> int:
-    """Globally unique statement label."""
-    return next(_label_counter)
+    """Statement label, unique within one compile
+    (:mod:`repro.numbering`)."""
+    return next(numbering.current().labels)
 
 
 class Stmt:

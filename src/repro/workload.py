@@ -406,7 +406,7 @@ def generate_jobs(seed: int, count: int, *,
                   sizes: Tuple[int, int] = (3, 8),
                   sweeps: Tuple[int, int] = (1, 3),
                   nodes: Sequence[int] = (2, 4),
-                  engines: Sequence[str] = ("closure",),
+                  engines: Sequence[str] = ("codegen",),
                   fault_profiles: Sequence[Optional[str]] = (None,),
                   rcache_capacities: Sequence[int] = (0,),
                   ) -> List[WorkloadJob]:

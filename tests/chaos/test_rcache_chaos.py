@@ -104,7 +104,7 @@ def test_cached_equals_uncached_under_faults(source, fault_config):
     profile, seed = fault_config
     compiled_program = compile_earthc(source, optimize=True)
     clean = execute(compiled_program, config=RunConfig(nodes=3))
-    for engine in ("closure", "ast", "codegen"):
+    for engine in ("ast", "codegen"):
         base = RunConfig(nodes=3, engine=engine,
                          faults=dict(PROFILES[profile], seed=seed))
         uncached = execute(compiled_program, config=base)

@@ -21,7 +21,7 @@ from repro.olden.loader import catalog, get_benchmark
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                            "golden_zero_fault.json")
 NODES = 4
-ENGINES = ["ast", "closure", "codegen"]
+ENGINES = ["ast", "codegen"]
 
 
 @pytest.fixture(scope="module")

@@ -150,7 +150,7 @@ class TestEngineAgreement:
             runs = [execute(compiled, faults=ScriptedPlan(index),
                             config=RunConfig(nodes=2, args=tuple([]),
                                              engine=engine))
-                    for engine in ("closure", "ast", "codegen")]
+                    for engine in ("ast", "codegen")]
             for other in runs[1:]:
                 assert other.value == runs[0].value
                 assert other.time_ns == runs[0].time_ns

@@ -178,20 +178,12 @@ class TestLegacyBitIdentity:
     """``opt=None``, ``opt="legacy"`` and an explicit ``OptConfig()``
     must produce the same compiled program, byte for byte."""
 
-    @staticmethod
-    def _compile(monkeypatch, opt):
-        # Statement labels come from a process-global counter; pin it
-        # so listings from successive compiles are comparable.
-        import itertools
-
-        from repro.simple import nodes
-        monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
-        return compile_earthc(SOURCE, optimize=True, opt=opt)
-
-    def test_listings_identical(self, monkeypatch):
-        baseline = self._compile(monkeypatch, None)
+    def test_listings_identical(self):
+        # Every compile numbers its labels from 1, so successive
+        # listings are comparable byte for byte.
+        baseline = compile_earthc(SOURCE, optimize=True, opt=None)
         for opt in ("legacy", OptConfig(), OptConfig.legacy()):
-            other = self._compile(monkeypatch, opt)
+            other = compile_earthc(SOURCE, optimize=True, opt=opt)
             assert other.listing() == baseline.listing()
             assert other.threaded_listing() \
                 == baseline.threaded_listing()

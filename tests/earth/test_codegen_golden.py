@@ -10,13 +10,13 @@ a batched statement budget, split-phase remote reads landing a Slot in
 a local, sync-on-use with coercion, checked reads, and the inlined
 return epilogue.
 
-Statement labels embed in the source (``Slot('read@N')``), so the test
-pins the global label counter before compiling.
+Statement labels embed in the source (``Slot('read@N')``); every
+compile numbers them from 1 (:mod:`repro.numbering`), so the snapshot
+holds whatever the process compiled before.
 """
 
 from __future__ import annotations
 
-import itertools
 import textwrap
 
 from repro.earth.codegen import CodegenEngine
@@ -24,7 +24,6 @@ from repro.earth.interpreter import Interpreter
 from repro.earth.machine import Machine
 from repro.earth.params import MachineParams
 from repro.harness.pipeline import compile_earthc
-from repro.simple import nodes
 
 SOURCE = """
 struct cell { int value; struct cell *next; };
@@ -148,16 +147,14 @@ def _engine_for(source, nodes_count=4):
     return CodegenEngine(interp)
 
 
-def test_sum_chain_emitted_source_is_pinned(monkeypatch):
-    monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
+def test_sum_chain_emitted_source_is_pinned():
     engine = _engine_for(SOURCE)
     engine.function("sum_chain")
     assert engine.fallbacks == set()
     assert engine.sources["sum_chain"] == GOLDEN_SUM_CHAIN
 
 
-def test_every_function_generates_without_fallback(monkeypatch):
-    monkeypatch.setattr(nodes, "_label_counter", itertools.count(1))
+def test_every_function_generates_without_fallback():
     engine = _engine_for(SOURCE)
     for name in engine.interp.program.functions:
         engine.function(name)

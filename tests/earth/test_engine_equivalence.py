@@ -1,12 +1,12 @@
 """Differential tests: every engine against the AST walker.
 
-The closure engine (``repro.earth.compile``) and the codegen engine
-(``repro.earth.codegen``) must be *observationally bit-identical* to
-the reference tree walker for every program that completes: same
-result value, same printed output, same ``MachineStats`` snapshot, and
-the same simulated ``time_ns`` down to the last bit.  These tests
+The codegen engine (``repro.earth.codegen``) must be *observationally
+bit-identical* to the reference tree walker for every program that
+completes: same result value, same printed output, same
+``MachineStats`` snapshot, and the same simulated ``time_ns`` down to
+the last bit.  These tests
 drive every bundled example program and every Olden benchmark through
-all engines under the paper's three machine configurations -- the
+both engines under the paper's three machine configurations -- the
 Olden set additionally under fault plans and with the remote-data
 cache enabled -- plus Hypothesis-generated programs.
 """
@@ -74,7 +74,7 @@ def _compare(compiled, num_nodes, params=None, args=(),
         # bit-identical, no rounding
         assert result.time_ns == ast.time_ns, engine
         assert result.stats.snapshot() == ast.stats.snapshot(), engine
-    return results["closure"]
+    return results["codegen"]
 
 
 def _compare_three_ways(source, filename, args=(), inline=False,
@@ -167,15 +167,16 @@ def test_olden_identical_full_size(name):
 def test_unknown_engine_rejected():
     compiled = compile_earthc("int main() { return 0; }")
     machine = Machine(1)
-    with pytest.raises(InterpreterError, match="unknown engine"):
-        Interpreter(compiled.simple, machine, engine="jit")
+    for engine in ("jit", "closure"):
+        with pytest.raises(InterpreterError, match="unknown engine"):
+            Interpreter(compiled.simple, machine, engine=engine)
 
 
-def test_closure_is_default_engine():
+def test_codegen_is_default_engine():
     compiled = compile_earthc("int main() { return 41 + 1; }")
     machine = Machine(1)
     interp = Interpreter(compiled.simple, machine)
-    assert interp.engine == "closure"
+    assert interp.engine == "codegen"
     assert interp.run().value == 42
 
 

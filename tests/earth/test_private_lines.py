@@ -91,7 +91,7 @@ class TestMarking:
 
 
 class TestRuntime:
-    @pytest.mark.parametrize("engine", ["ast", "closure", "codegen"])
+    @pytest.mark.parametrize("engine", ["ast", "codegen"])
     def test_skips_counted_and_value_identical(self, engine):
         compiled = compile_private()
         cached = execute(compiled, config=RunConfig(

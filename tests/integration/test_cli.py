@@ -92,6 +92,35 @@ class TestRun:
         assert main([str(bad), "--run"]) == 3  # EXIT_COMPILE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chain", ["a = b = 1;", "a = (b = 1);"])
+    @pytest.mark.parametrize("engine", ["ast", "codegen"])
+    def test_assignment_chain_runs(self, tmp_path, capsys, chain, engine):
+        prog = tmp_path / "chain.ec"
+        prog.write_text("int main() { int a; int b; "
+                        f"{chain} return a * 10 + b; }}")
+        assert main([str(prog), "-O", "--run", "--engine", engine]) == 0
+        assert "result  = 11" in capsys.readouterr().out
+
+    def test_assignment_value_through_remote_field(self, tmp_path,
+                                                   capsys):
+        prog = tmp_path / "field.ec"
+        prog.write_text(
+            "struct c { int v; };\n"
+            "int main() { struct c *p; int a; int b;\n"
+            "  p = (struct c *) malloc(sizeof(struct c)) @ 1;\n"
+            "  a = p->v = b = 3; b += a = 4;\n"
+            "  return a * 100 + b * 10 + p->v; }")
+        assert main([str(prog), "-O", "--run", "--nodes", "2"]) == 0
+        assert "result  = 473" in capsys.readouterr().out
+
+    def test_incdec_value_is_a_compile_error(self, tmp_path, capsys):
+        prog = tmp_path / "incdec.ec"
+        prog.write_text("int main() { int a; int b; b = 0; a = b++; "
+                        "return a; }")
+        assert main([str(prog), "--run"]) == 3  # EXIT_COMPILE
+        err = capsys.readouterr().err
+        assert "used as a value" in err and "Traceback" not in err
+
 
 class TestObservability:
     def test_show_profile(self, source_file, capsys):
@@ -322,6 +351,13 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "invalid choice" in err
         assert "Traceback" not in err
+
+    def test_removed_closure_engine_is_argparse_error(self, source_file,
+                                                      capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([source_file, "--run", "--engine", "closure"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_fault_profile_is_argparse_error(self, source_file,
                                                  capsys):

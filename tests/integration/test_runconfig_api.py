@@ -9,7 +9,9 @@ names exported from :mod:`repro`.
 
 import argparse
 import json
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -55,7 +57,7 @@ class TestValueObject:
         config = RunConfig()
         assert config.nodes == 1
         assert config.entry == "main"
-        assert config.engine == "closure"
+        assert config.engine == "codegen"
         assert config.rcache_capacity == 0
         assert config.max_stmts == DEFAULT_MAX_STMTS
         assert config.faults is None
@@ -108,7 +110,7 @@ class TestValueObject:
         assert RunConfig().fault_plan() is None
 
     def test_engines_and_presets_constants(self):
-        assert "closure" in ENGINES and "ast" in ENGINES
+        assert ENGINES == ("ast", "codegen")
         assert "default" in PARAMS_PRESETS
 
 
@@ -207,6 +209,15 @@ class TestPublicSurface:
         assert repro.RunConfig is RunConfig
         assert repro.run is run
         assert repro.__version__.count(".") == 2
+
+    def test_version_lives_in_one_place(self):
+        """pyproject.toml reads the package version from
+        ``repro.__version__`` instead of repeating it."""
+        root = Path(__file__).resolve().parents[2]
+        pyproject = (root / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert not re.search(r'(?m)^version\s*=\s*"', pyproject)
 
     def test_run_one_stop(self):
         result = run(SOURCE, config=RunConfig(nodes=2,

@@ -21,8 +21,9 @@ from repro.service.jobs import JobSpec, run_payload
 from repro.service.pool import WorkerPool
 from repro.config import RunConfig
 
-#: Matrix axes: execution engine x fault injection (seeded profile).
-ENGINES = ("closure", "ast", "codegen")
+#: Matrix axes: execution engine (default first) x fault injection
+#: (seeded profile).
+ENGINES = ("codegen", "ast")
 FAULT_SEED = 29
 FAULT_CASES = (None, "mild")
 
@@ -115,11 +116,11 @@ def test_warm_cache_replays_bit_identically(references, cache_dir):
 def test_four_workers_compute_the_same_results(references):
     """workers=4, no cache: recomputed from scratch under maximal
     interleaving, results must not depend on the worker count.  (The
-    closure half of the matrix keeps the recompute affordable; the
+    codegen half of the matrix keeps the recompute affordable; the
     ast engine's worker-count independence is already covered by the
     cold run, which uses a different worker count than the
     references.)"""
-    cells = [cell for cell in _matrix() if cell[1] == "closure"]
+    cells = [cell for cell in _matrix() if cell[1] == "codegen"]
     jobs = [_job(*cell) for cell in cells]
     with WorkerPool(workers=4, cache_dir=None) as pool:
         results = pool.run_batch(jobs, timeout=600)
