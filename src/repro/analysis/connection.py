@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.analysis.points_to import PointsToResult
-from repro.analysis.rw_sets import EffectsAnalysis, FieldKey
+from repro.analysis.rw_sets import EffectsAnalysis, FieldKey, keys_overlap
 from repro.frontend.types import FieldPath
 from repro.simple import nodes as s
 
@@ -70,9 +70,6 @@ class ConnectionInfo:
         table = records.heap_reads if mode == "read" else records.heap_writes
         key = path_key(path)
         for effect in table.values():
-            if effect.base != base:
-                continue
-            from repro.analysis.rw_sets import keys_overlap
-            if keys_overlap(effect.key, key):
+            if effect.base == base and keys_overlap(effect.key, key):
                 return True
         return False

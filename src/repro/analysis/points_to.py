@@ -109,6 +109,9 @@ class PointsToAnalysis:
         # subset edges: src holder -> dst holders (pts(dst) >= pts(src))
         self._copy_edges: Dict[Holder, Set[Holder]] = {}
         self._sets: Dict[Holder, Set[Loc]] = {}
+        # field holders by location: loc -> field key -> the holder's
+        # set in ``_sets`` (keys in creation order)
+        self._fields: Dict[Loc, Dict[Tuple[str, ...], Set[Loc]]] = {}
         # complex constraints, re-applied as sets grow; the trailing
         # float is the constraint's execution probability
         self._field_loads: List[
@@ -134,7 +137,12 @@ class PointsToAnalysis:
         return ("gvar", name)
 
     def _base_points(self, holder: Holder) -> Set[Loc]:
-        return self._sets.setdefault(holder, set())
+        found = self._sets.get(holder)
+        if found is None:
+            found = self._sets[holder] = set()
+            if len(holder) == 2 and isinstance(holder[0], tuple):
+                self._fields.setdefault(holder[0], {})[holder[1]] = found
+        return found
 
     def _add_copy(self, src: Holder, dst: Holder,
                   prob: float = 1.0) -> None:
@@ -349,8 +357,7 @@ class PointsToAnalysis:
             for base, dst, key, prob in self._field_loads:
                 dst_set = self._base_points(dst)
                 for loc in list(self._base_points(base)):
-                    for use_key in self._matching_keys(loc, key):
-                        src_set = self._base_points((loc, use_key))
+                    for use_key, src_set in self._matching_fields(loc, key):
                         before = len(dst_set)
                         dst_set |= src_set
                         if len(dst_set) != before:
@@ -383,7 +390,8 @@ class PointsToAnalysis:
                 src_objs = self._endpoint_objects(func_name, src_ep)
                 dst_objs = self._endpoint_objects(func_name, dst_ep)
                 for src_obj in src_objs:
-                    for key, src_set in list(self._object_fields(src_obj)):
+                    for key, src_set in list(
+                            self._fields.get(src_obj, {}).items()):
                         if not src_set:
                             continue
                         src_like = self._like.get((src_obj, key), {})
@@ -397,24 +405,16 @@ class PointsToAnalysis:
                                                 src_like, prob):
                                 changed = True
 
-    def _matching_keys(self, loc: Loc, key: Tuple[str, ...]
-                       ) -> Iterable[Tuple[str, ...]]:
-        """Field keys stored for ``loc`` that may overlap ``key``."""
-        for holder, pts in self._sets.items():
+    def _matching_fields(self, loc: Loc, key: Tuple[str, ...]
+                         ) -> Iterable[Tuple[Tuple[str, ...], Set[Loc]]]:
+        """Non-empty field holders of ``loc`` whose key may overlap
+        ``key``, as ``(stored key, points-to set)``."""
+        for stored, pts in self._fields.get(loc, {}).items():
             if not pts:
                 continue
-            if isinstance(holder, tuple) and len(holder) == 2 \
-                    and holder[0] == loc:
-                stored = holder[1]
-                if key == (STAR,) or stored == (STAR,) or stored == key \
-                        or _prefix(stored, key) or _prefix(key, stored):
-                    yield stored
-
-    def _object_fields(self, obj: Loc):
-        for holder, pts in self._sets.items():
-            if isinstance(holder, tuple) and len(holder) == 2 \
-                    and holder[0] == obj:
-                yield holder[1], pts
+            if key == (STAR,) or stored == (STAR,) or stored == key \
+                    or _prefix(stored, key) or _prefix(key, stored):
+                yield stored, pts
 
     def _endpoint_objects(self, func_name: str, endpoint) -> Set[Loc]:
         kind, name, _offset = endpoint

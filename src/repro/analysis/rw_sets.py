@@ -23,7 +23,7 @@ by label), matching the paper's per-statement decoration.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.points_to import STAR, PointsToResult
 from repro.simple import nodes as s
@@ -83,14 +83,12 @@ class Effects:
 
     def merge(self, other: "Effects",
               drop_locals_of: Optional[Set[str]] = None,
-              anonymize: bool = False) -> bool:
-        """Union ``other`` into self; returns True when something new
-        was added.  ``drop_locals_of`` filters out variable effects on
-        names in that set (used when importing a callee summary into a
-        caller -- callee locals are invisible).  ``anonymize`` clears the
-        base variable of imported heap effects (they are alias accesses
-        from the caller's perspective)."""
-        before = self._size()
+              anonymize: bool = False) -> None:
+        """Union ``other`` into self.  ``drop_locals_of`` filters out
+        variable effects on names in that set (used when importing a
+        callee summary into a caller -- callee locals are invisible).
+        ``anonymize`` clears the base variable of imported heap effects
+        (they are alias accesses from the caller's perspective)."""
         var_reads = other.var_reads
         var_writes = other.var_writes
         if drop_locals_of is not None:
@@ -98,16 +96,16 @@ class Effects:
             var_writes = var_writes - drop_locals_of
         self.var_reads |= var_reads
         self.var_writes |= var_writes
-        for effect in other.heap_reads.values():
-            if anonymize:
-                effect = HeapEffect(None, effect.loc, effect.key)
-            self.add_heap_read(effect)
-        for effect in other.heap_writes.values():
-            if anonymize:
-                effect = HeapEffect(None, effect.loc, effect.key)
-            self.add_heap_write(effect)
+        for mine, theirs in ((self.heap_reads, other.heap_reads),
+                             (self.heap_writes, other.heap_writes)):
+            if not anonymize:
+                mine.update(theirs)
+                continue
+            for effect in theirs.values():
+                if effect.base is not None:
+                    effect = HeapEffect(None, effect.loc, effect.key)
+                mine[effect.ident()] = effect
         self.shared_vars |= other.shared_vars
-        return self._size() != before
 
     def _size(self) -> int:
         return (len(self.var_reads) + len(self.var_writes)
@@ -131,7 +129,16 @@ class EffectsAnalysis:
         self.program = program
         self.pts = pts
         self._summaries: Dict[str, Effects] = {}
+        #: Effects per ``(function, label)``, filled for every basic
+        #: statement by :meth:`_compute_summaries` and for compound
+        #: statements on first query.
         self._cache: Dict[Tuple[str, int], Effects] = {}
+        #: The ``(lhs, rhs)`` of each assignment as analyzed, until its
+        #: first query: selection and forwarding rewrite assignments in
+        #: place, and one rewritten before its first query is analyzed
+        #: in its rewritten form.
+        self._analyzed_parts: Dict[Tuple[str, int],
+                                   Tuple[s.LValue, s.Rhs]] = {}
         self._compute_summaries()
 
     # -- public queries -----------------------------------------------------------
@@ -140,6 +147,10 @@ class EffectsAnalysis:
         """The full effect set of ``stmt`` (compound statements aggregate
         children, calls import callee summaries)."""
         key = (func.name, stmt.label)
+        parts = self._analyzed_parts.pop(key, None)
+        if parts is not None and (parts[0] is not stmt.lhs
+                                  or parts[1] is not stmt.rhs):
+            del self._cache[key]
         cached = self._cache.get(key)
         if cached is None:
             cached = self._stmt_effects(func, stmt)
@@ -183,25 +194,56 @@ class EffectsAnalysis:
     # -- summaries ------------------------------------------------------------------
 
     def _compute_summaries(self) -> None:
-        for name in self.program.functions:
-            self._summaries[name] = Effects()
-        changed = True
-        while changed:
-            changed = False
-            for name, func in self.program.functions.items():
-                fresh = Effects()
-                locals_ = set(func.variables)
-                for stmt in func.body.basic_stmts():
-                    fresh.merge(self._basic_effects(func, stmt),
-                                drop_locals_of=locals_, anonymize=True)
-                if self._summaries[name].merge(fresh):
-                    changed = True
+        """Each basic statement's own effects are computed once; the
+        fixpoint then only propagates summaries along call edges
+        (callee locals dropped, heap effects anonymized), and each call
+        statement finally imports its callee's summary."""
+        functions = self.program.functions
+        edges: List[Tuple[Effects, Set[str], List[str]]] = []
+        calls: List[Tuple[Effects, str]] = []
+        for name, func in functions.items():
+            body = Effects()
+            callees: Dict[str, None] = {}
+            for stmt in func.body.basic_stmts():
+                own = self._basic_effects(func, stmt)
+                self._cache[(name, stmt.label)] = own
+                if isinstance(stmt, s.AssignStmt):
+                    self._analyzed_parts[(name, stmt.label)] = \
+                        (stmt.lhs, stmt.rhs)
+                body.merge(own)
+                # Built-ins have no heap effects beyond their arguments.
+                if isinstance(stmt, s.CallStmt) and stmt.func in functions:
+                    calls.append((own, stmt.func))
+                    if stmt.func != name:  # self-recursion adds nothing
+                        callees[stmt.func] = None
+            locals_ = set(func.variables)
+            summary = Effects()
+            summary.merge(body, drop_locals_of=locals_, anonymize=True)
+            self._summaries[name] = summary
+            edges.append((summary, locals_, list(callees)))
+        size = -1
+        while True:
+            for summary, locals_, callees in edges:
+                for callee in callees:
+                    summary.merge(self._summaries[callee],
+                                  drop_locals_of=locals_, anonymize=True)
+            grown = sum(summary._size() for summary, _, _ in edges)
+            if grown == size:
+                break
+            size = grown
+        for own, callee in calls:
+            own.merge(self._summaries[callee], anonymize=True)
 
     # -- per-statement computation ------------------------------------------------------
 
     def _stmt_effects(self, func: s.SimpleFunction, stmt: s.Stmt) -> Effects:
         if isinstance(stmt, s.BasicStmt):
-            return self._basic_effects(func, stmt)
+            # Inserted or rewritten since the summaries walked the body.
+            effects = self._basic_effects(func, stmt)
+            if isinstance(stmt, s.CallStmt) \
+                    and stmt.func in self.program.functions:
+                effects.merge(self._summaries[stmt.func], anonymize=True)
+            return effects
         effects = Effects()
         if isinstance(stmt, (s.IfStmt, s.WhileStmt, s.DoStmt,
                              s.ForallStmt)):
@@ -214,6 +256,8 @@ class EffectsAnalysis:
 
     def _basic_effects(self, func: s.SimpleFunction,
                        stmt: s.BasicStmt) -> Effects:
+        """The statement's own effects: everything except what a called
+        function's summary adds."""
         effects = Effects()
         effects.var_reads |= basic_uses(stmt)
         effects.var_writes |= basic_defs(stmt)
@@ -228,12 +272,6 @@ class EffectsAnalysis:
             if stmt.dst[0] == "ptr":
                 self._add_ptr_effect(func, effects, stmt.dst[1], (STAR,),
                                      write=True)
-        elif isinstance(stmt, s.CallStmt):
-            callee = self.program.functions.get(stmt.func)
-            if callee is not None:
-                effects.merge(self._summaries[stmt.func],
-                              anonymize=True)
-            # Built-ins have no heap effects beyond their arguments.
         elif isinstance(stmt, s.SharedOpStmt):
             effects.shared_vars.add(stmt.shared_var)
         return effects

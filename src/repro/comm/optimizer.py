@@ -242,8 +242,9 @@ class CommunicationOptimizer:
             # Last: the points-to facts must cover the comm statements
             # selection inserted.
             with timed_pass(report.passes, "private lines") as profile:
-                conn = self._fresh_connection()
-                private = mark_private_sites(self.program, conn.pts)
+                pts = analyze_points_to(self.program,
+                                        self.opt.branch_weight)
+                private = mark_private_sites(self.program, pts)
             profile.counters["private_sites"] = private
 
         with timed_pass(report.passes, "validate"):

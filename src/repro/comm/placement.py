@@ -40,7 +40,8 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Optional
 
-from repro.analysis.connection import ConnectionInfo
+from repro.analysis.connection import ConnectionInfo, path_key
+from repro.analysis.rw_sets import keys_overlap
 from repro.comm.optconfig import OptConfig
 from repro.comm.tuples import CommSet, CommTuple
 from repro.errors import ReproDeprecationWarning
@@ -342,16 +343,15 @@ class PlacementAnalysis:
         if self.conn.accessed_directly(self.func, tup.base, tup.path,
                                        loop, "read"):
             return True
+        key = path_key(tup.path)
         for inner in loop.walk():
             if not isinstance(inner, s.BasicStmt) \
                     or inner.label in tup.dlist:
                 continue
             write = inner.remote_write()
-            if write is not None and write.base == tup.base:
-                from repro.analysis.connection import path_key
-                from repro.analysis.rw_sets import keys_overlap
-                if keys_overlap(path_key(write.path), path_key(tup.path)):
-                    return True
+            if write is not None and write.base == tup.base \
+                    and keys_overlap(path_key(write.path), key):
+                return True
         return False
 
     @staticmethod

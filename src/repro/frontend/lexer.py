@@ -1,4 +1,4 @@
-"""Hand-written lexer for the EARTH-C dialect.
+"""Lexer for the EARTH-C dialect.
 
 Produces a list of :class:`Token`.  EARTH-C extensions over the C subset:
 
@@ -6,11 +6,19 @@ Produces a list of :class:`Token`.  EARTH-C extensions over the C subset:
   characters must be adjacent, as in the paper's examples),
 * ``@`` introduces a call placement annotation,
 * the keywords ``forall``, ``shared`` and ``local``.
+
+Scanning is one compiled master regex: each match skips the trivia
+(whitespace, ``//`` and ``/* */`` comments, ``#`` lines) in front of a
+token and captures the token in a named group.  Lines and columns come
+from counting newlines between token starts.  Unterminated comments and
+literals, and characters that start no token, fall into error groups
+that raise :class:`~repro.errors.LexError` at the token's location.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import re
+from typing import List
 
 from repro.errors import LexError, SourceLocation
 
@@ -31,6 +39,29 @@ _MULTI_OPS = [
 ]
 
 _SINGLE_OPS = "+-*/%<>=!&|^~?:;,.(){}[]@"
+
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
+            "\\": "\\", "'": "'", '"': '"'}
+
+_ESCAPE = r"\\[ntr0\\'\"]"
+
+_TOKEN_RE = re.compile(rf"""
+    (?: [ \t\r\n]+ | //[^\n]* | \#[^\n]* | /\*.*?\*/ )*
+    (?:
+        (?P<number> 0[xX][0-9a-fA-F]*
+                  | (?: \d+ (?: \.\d* )? | \.\d+ ) (?: [eE][+-]?\d+ )? )
+      | (?P<id> [^\W\d]\w* )
+      | (?P<char> ' (?: {_ESCAPE} | [^\\'] ) ' )
+      | (?P<string> " (?: {_ESCAPE} | [^"\\\n] )* " )
+      | (?P<unclosed> /\* | ['"] )
+      | (?P<op> {"|".join(re.escape(op) for op in _MULTI_OPS)}
+              | [{re.escape(_SINGLE_OPS)}] )
+      | (?P<stray> . )
+      | (?P<eof> \Z )
+    )
+""", re.VERBOSE | re.DOTALL)
+
+_ESCAPE_RE = re.compile(_ESCAPE)
 
 
 class Token:
@@ -61,195 +92,90 @@ class Token:
         return f"Token({self.kind}, {self.text!r} @ {self.loc})"
 
 
-class Lexer:
-    """Tokenizes one EARTH-C source string."""
-
-    def __init__(self, source: str, filename: str = "<input>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- low-level cursor helpers ------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    # -- whitespace and comments -------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._loc()
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#":
-                # Preprocessor lines (e.g. #include) are skipped whole; the
-                # dialect has no preprocessor but benchmark sources may keep
-                # decorative directives.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners -----------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        saw_dot = False
-        saw_exp = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            return Token("int", text, loc, value=int(text, 16))
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp:
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and self.pos > start:
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    saw_exp = True
-                    self._advance()
-                    if self._peek() in "+-":
-                        self._advance()
-                else:
-                    break
-            else:
-                break
-        text = self.source[start:self.pos]
-        if saw_dot or saw_exp:
-            return Token("float", text, loc, value=float(text))
-        return Token("int", text, loc, value=int(text))
-
-    def _scan_identifier(self) -> Token:
-        loc = self._loc()
-        start = self.pos
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self.source[start:self.pos]
-        if text in KEYWORDS:
-            return Token("keyword", text, loc)
-        return Token("id", text, loc)
-
-    _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
-                "\\": "\\", "'": "'", '"': '"'}
-
-    def _scan_char(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            self._advance()
-            esc = self._advance()
-            if esc not in self._ESCAPES:
-                raise LexError(f"bad escape \\{esc}", loc)
-            value = self._ESCAPES[esc]
-        elif ch == "" or ch == "'":
-            raise LexError("empty character literal", loc)
-        else:
-            value = self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", loc)
-        self._advance()
-        return Token("char", f"'{value}'", loc, value=value)
-
-    def _scan_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "" or ch == "\n":
-                raise LexError("unterminated string literal", loc)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._advance()
-                if esc not in self._ESCAPES:
-                    raise LexError(f"bad escape \\{esc}", loc)
-                chars.append(self._ESCAPES[esc])
-            else:
-                chars.append(self._advance())
-        value = "".join(chars)
-        return Token("string", f'"{value}"', loc, value=value)
-
-    def _scan_operator(self) -> Token:
-        loc = self._loc()
-        for op in _MULTI_OPS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, loc)
-        ch = self._peek()
-        if ch in _SINGLE_OPS:
-            self._advance()
-            return Token("op", ch, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    # -- public API -----------------------------------------------------------
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.source):
-            return Token("eof", "", self._loc())
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._scan_number()
-        if ch.isalpha() or ch == "_":
-            return self._scan_identifier()
-        if ch == "'":
-            return self._scan_char()
-        if ch == '"':
-            return self._scan_string()
-        return self._scan_operator()
-
-    def tokenize(self) -> List[Token]:
-        tokens: List[Token] = []
-        while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind == "eof":
-                return tokens
-
-
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
     """Tokenize ``source``, returning a list ending with an EOF token."""
-    return Lexer(source, filename).tokenize()
+    tokens: List[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0  # index of the first character of ``line``
+    counted = 0  # newlines before this index are in ``line``
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        start = match.start(kind)
+        newlines = source.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = source.rindex("\n", counted, start) + 1
+        counted = start
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        text = match.group(kind)
+        if kind == "op":
+            append(Token("op", text, loc))
+        elif kind == "id":
+            if text in KEYWORDS:
+                append(Token("keyword", text, loc))
+            elif text[0] == "_" or text[0].isalpha():
+                append(Token("id", text, loc))
+            else:
+                # A numeric character such as ``²`` matches ``\w``.
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+        elif kind == "number":
+            append(_number(text, loc))
+        elif kind == "char":
+            value = _ESCAPES[text[2]] if text[1] == "\\" else text[1]
+            append(Token("char", f"'{value}'", loc, value=value))
+        elif kind == "string":
+            value = _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group()[1]],
+                                   text[1:-1])
+            append(Token("string", f'"{value}"', loc, value=value))
+        elif kind == "eof":
+            append(Token("eof", "", loc))
+            break
+        elif kind == "unclosed":
+            raise LexError(_unclosed_message(source, start), loc)
+        else:
+            raise LexError(f"unexpected character {text!r}", loc)
+    return tokens
+
+
+def _number(text: str, loc: SourceLocation) -> Token:
+    if text[:2] in ("0x", "0X"):
+        if len(text) == 2:
+            raise LexError(f"hex literal {text!r} has no digits", loc)
+        return Token("int", text, loc, value=int(text, 16))
+    if "." in text or "e" in text or "E" in text:
+        return Token("float", text, loc, value=float(text))
+    if text[0] == "0" and len(text) > 1:
+        bad = text.lstrip("01234567")
+        if bad:
+            raise LexError(
+                f"invalid digit {bad[0]!r} in octal literal {text!r}", loc)
+        return Token("int", text, loc, value=int(text, 8))
+    return Token("int", text, loc, value=int(text))
+
+
+def _unclosed_message(source: str, start: int) -> str:
+    """Why the comment or literal opening at ``start`` failed to lex."""
+    opener = source[start]
+    if opener == "/":
+        return "unterminated block comment"
+    if opener == "'":
+        body = source[start + 1:start + 2]
+        if body == "\\":
+            escape = source[start + 2:start + 3]
+            if escape not in _ESCAPES:
+                return f"bad escape \\{escape}"
+        elif body in ("", "'"):
+            return "empty character literal"
+        return "unterminated character literal"
+    index = start + 1
+    while True:
+        ch = source[index:index + 1]
+        if ch in ("", "\n"):
+            return "unterminated string literal"
+        if ch == "\\":
+            escape = source[index + 1:index + 2]
+            if escape not in _ESCAPES:
+                return f"bad escape \\{escape}"
+            index += 1
+        index += 1

@@ -29,6 +29,25 @@ _ASSIGN_OPS = {
     "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>",
 }
 
+# Binary operators, lowest binding first; all are left-associative.
+_PRECEDENCE: List[List[str]] = [
+    ["||"],
+    ["&&"],
+    ["|"],
+    ["^"],
+    ["&"],
+    ["==", "!="],
+    ["<", "<=", ">", ">="],
+    ["<<", ">>"],
+    ["+", "-"],
+    ["*", "/", "%"],
+]
+
+#: Binding power of each binary operator (1 binds loosest).
+_BINARY_POWER: Dict[str, int] = {
+    op: power for power, ops in enumerate(_PRECEDENCE, start=1)
+    for op in ops}
+
 
 class Parser:
     """Parses one translation unit."""
@@ -448,7 +467,7 @@ class Parser:
         return left
 
     def _parse_conditional_expr(self) -> ast.Expr:
-        cond = self._parse_binary_expr(0)
+        cond = self._parse_binary_expr()
         if self._peek().is_op("?"):
             token = self._next()
             then_value = self._parse_expression()
@@ -457,30 +476,20 @@ class Parser:
             return ast.CondExpr(cond, then_value, else_value, token.loc)
         return cond
 
-    # Binary operator precedence climbing, lowest binding first.
-    _PRECEDENCE: List[List[str]] = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", "<=", ">", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def _parse_binary_expr(self, level: int) -> ast.Expr:
-        if level >= len(self._PRECEDENCE):
-            return self._parse_unary_expr()
-        left = self._parse_binary_expr(level + 1)
-        ops = self._PRECEDENCE[level]
-        while self._peek().kind == "op" and self._peek().text in ops:
-            token = self._next()
-            right = self._parse_binary_expr(level + 1)
+    def _parse_binary_expr(self, min_power: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY_POWER`: fold every
+        operator that binds at least ``min_power``; each right operand
+        only takes operators binding tighter (left associativity)."""
+        left = self._parse_unary_expr()
+        while True:
+            token = self.tokens[self.index]
+            power = _BINARY_POWER.get(token.text) \
+                if token.kind == "op" else None
+            if power is None or power < min_power:
+                return left
+            self.index += 1
+            right = self._parse_binary_expr(power + 1)
             left = ast.BinOp(token.text, left, right, token.loc)
-        return left
 
     def _parse_unary_expr(self) -> ast.Expr:
         token = self._peek()

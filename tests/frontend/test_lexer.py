@@ -72,6 +72,35 @@ class TestNumbers:
         assert tok.kind == "float"
         assert tok.value == 0.5
 
+    def test_octal_int(self):
+        (tok,) = tokenize("0777")[:-1]
+        assert (tok.kind, tok.text, tok.value) == ("int", "0777", 0o777)
+
+    def test_zero_and_double_zero(self):
+        assert [t.value for t in tokenize("0 00")[:-1]] == [0, 0]
+
+    @pytest.mark.parametrize("source,digit", [
+        ("08", "8"), ("09", "9"), ("0778", "8"), ("x = 0129;", "9")])
+    def test_non_octal_digit_after_leading_zero(self, source, digit):
+        with pytest.raises(LexError,
+                           match=f"invalid digit '{digit}' in octal"):
+            tokenize(source)
+
+    def test_leading_zero_float_is_decimal(self):
+        (tok,) = tokenize("08.5")[:-1]
+        assert (tok.kind, tok.value) == ("float", 8.5)
+        (tok,) = tokenize("09e1")[:-1]
+        assert (tok.kind, tok.value) == ("float", 90.0)
+
+    @pytest.mark.parametrize("source", ["0x", "0X", "0x;", "a = 0xg;"])
+    def test_hex_prefix_without_digits(self, source):
+        with pytest.raises(LexError, match="has no digits") as info:
+            tokenize(source)
+        assert info.value.location.column == source.index("0") + 1
+
+    def test_hex_digits_stop_at_non_hex(self):
+        assert texts("0x1g") == ["0x1", "g"]
+
     def test_int_then_member_access_not_float(self):
         # `x.y` after ident: dot is an operator
         assert kinds("s.f") == ["id", "op", "id"]
@@ -161,11 +190,41 @@ class TestErrorsAndLocations:
         with pytest.raises(LexError):
             tokenize("a $ b")
 
+    @pytest.mark.parametrize("source,message,column", [
+        ("a /* never ends", "unterminated block comment", 3),
+        ('b = "open', "unterminated string literal", 5),
+        ('"line\nbreak"', "unterminated string literal", 1),
+        ('"bad \\q"', "bad escape \\q", 1),
+        ("c 'ab'", "unterminated character literal", 3),
+        ("''", "empty character literal", 1),
+        ("'", "empty character literal", 1),
+        ("'\\q'", "bad escape \\q", 1),
+        ("'\\'", "unterminated character literal", 1),
+        ("a $ b", "unexpected character '$'", 3),
+        ("a \f b", "unexpected character '\\x0c'", 3),
+        ("x = \u00b2;", "unexpected character '\u00b2'", 5),
+        ("x = 1\u00b2;", "unexpected character '\u00b2'", 6),
+    ])
+    def test_error_message_and_location(self, source, message, column):
+        with pytest.raises(LexError) as info:
+            tokenize(source, "f.ec")
+        assert str(info.value) == f"f.ec:1:{column}: {message}"
+
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert tokens[0].loc.line == 1
         assert tokens[1].loc.line == 2
         assert tokens[1].loc.column == 3
+
+    def test_locations_after_multiline_trivia(self):
+        source = "a /* x\n y */ b\n// c\n\r\n\t'\n'\n#d\n  e"
+        assert [(t.text, t.loc.line, t.loc.column)
+                for t in tokenize(source)] == [
+            ("a", 1, 1), ("b", 2, 7), ("'\n'", 5, 2), ("e", 8, 3),
+            ("", 8, 4)]
+
+    def test_non_ascii_identifier(self):
+        assert kinds("\u00e9t\u00e9 x\u00b2") == ["id", "id"]
 
     def test_token_helpers(self):
         token = tokenize("while")[0]

@@ -276,6 +276,36 @@ class TestExitCodes:
             capsys, [str(bad), "--run", "--json"], 3)
         assert "undeclared" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("literal", ["0x", "08"])
+    def test_malformed_int_literal_is_compile_error(self, tmp_path, capsys,
+                                                    literal):
+        bad = tmp_path / "lit.ec"
+        bad.write_text(f"int main() {{ return {literal}; }}")
+        payload = self._json_error(
+            capsys, [str(bad), "--run", "--json"], 3)
+        assert payload["error"]["type"] == "LexError"
+        assert "lit.ec:1:21:" in payload["error"]["message"]
+
+    def test_hex_prefix_without_digits_exits_3_without_traceback(
+            self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        bad = tmp_path / "hex.ec"
+        bad.write_text("int main() { return 0x; }")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)),
+             env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-m", "repro", str(bad)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert "hex literal '0x' has no digits" in done.stderr
+
     def test_usage_error_as_json(self, source_file, capsys):
         payload = self._json_error(
             capsys, [source_file, "--run", "--json",
